@@ -3,7 +3,8 @@
 //! Measures the refactor, batched-sweep, solution-store, engine-memo,
 //! build-free-submit, cancel-latency, recovery-ladder,
 //! sharded-throughput and telemetry-overhead scenarios in-process,
-//! writes the results as `BENCH_pr9.json`, and compares the
+//! writes the results as `BENCH_pr<N>.json` stamped `"pr": N` from the
+//! required `--pr N` argument, and compares the
 //! machine-portable speedup *ratios* against the committed baseline JSON
 //! within a relative tolerance (see `docs/benching.md` for the schema
 //! and the rationale). Exit code 0 = every ratio within tolerance;
@@ -11,8 +12,10 @@
 //!
 //! ```text
 //! cargo run --release -p rfsim-bench --bin bench_gate -- \
-//!     --baseline BENCH_pr8.json --out BENCH_pr9.json --tolerance 0.25
+//!     --pr <N> --baseline BENCH_pr<M>.json --tolerance 0.25
 //! ```
+//!
+//! `--out` defaults to `BENCH_pr<N>.json`.
 
 use std::io::Write;
 use std::process::ExitCode;
@@ -25,6 +28,7 @@ use rfsim_bench::gate::{
 };
 
 struct Args {
+    pr: u32,
     baseline: String,
     out: String,
     tolerance: f64,
@@ -32,29 +36,37 @@ struct Args {
 }
 
 fn parse_args() -> Args {
-    let mut args = Args {
-        baseline: "BENCH_pr9.json".into(),
-        out: "BENCH_pr10.json".into(),
-        // Cross-machine reproducibility of the micro ratios is ~±20%
-        // (measured by re-running a pinned build against a baseline
-        // recorded on a different container), so a tighter band is
-        // flake, not detection. The hard floors carry the
-        // machine-portable guarantees.
-        tolerance: 0.25,
-        reps: 7,
-    };
+    let mut pr: Option<u32> = None;
+    let mut out = None;
+    let mut baseline = "BENCH_pr9.json".to_string();
+    // Cross-machine reproducibility of the micro ratios is ~±20%
+    // (measured by re-running a pinned build against a baseline recorded
+    // on a different container), so a tighter band is flake, not
+    // detection. The hard floors carry the machine-portable guarantees.
+    let mut tolerance = 0.25;
+    let mut reps = 7;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().unwrap_or_else(|| panic!("{name} needs a value"));
         match flag.as_str() {
-            "--baseline" => args.baseline = value("--baseline"),
-            "--out" => args.out = value("--out"),
-            "--tolerance" => args.tolerance = value("--tolerance").parse().expect("tolerance"),
-            "--reps" => args.reps = value("--reps").parse().expect("reps"),
+            "--pr" => pr = Some(value("--pr").parse().expect("pr")),
+            "--baseline" => baseline = value("--baseline"),
+            "--out" => out = Some(value("--out")),
+            "--tolerance" => tolerance = value("--tolerance").parse().expect("tolerance"),
+            "--reps" => reps = value("--reps").parse().expect("reps"),
             other => panic!("unknown flag {other}"),
         }
     }
-    args
+    // The stamp names the change that measured the file, so it has no
+    // default: a hard-coded one went stale and mislabelled a BENCH file.
+    let pr = pr.unwrap_or_else(|| panic!("--pr N is required (the BENCH file's PR stamp)"));
+    Args {
+        pr,
+        baseline,
+        out: out.unwrap_or_else(|| format!("BENCH_pr{pr}.json")),
+        tolerance,
+        reps,
+    }
 }
 
 fn main() -> ExitCode {
@@ -181,12 +193,12 @@ fn main() -> ExitCode {
     );
 
     // ------------------------------------------------------------------
-    // Emit BENCH_pr9.json.
+    // Emit the BENCH file.
     // ------------------------------------------------------------------
     let json = format!(
         r#"{{
-  "pr": 9,
-  "title": "End-to-end telemetry: lifecycle traces, latency histograms, metrics verb",
+  "pr": {pr},
+  "title": "bench_gate scenario medians and gated speedup ratios",
   "machine_note": "emitted by `cargo run --release -p rfsim-bench --bin bench_gate`; absolute ns are machine-bound, the `ratios` section is what the CI gate compares (see docs/benching.md)",
   "benchmarks": [
     {{
@@ -309,6 +321,7 @@ fn main() -> ExitCode {
   }}
 }}
 "#,
+        pr = args.pr,
         restricted_ns = drift.restricted_ns,
         fallback_ns = drift.fallback_ns,
         stressed = drift.stressed_refreshes,

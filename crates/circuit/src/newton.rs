@@ -8,23 +8,24 @@
 //! # Linear-solver state reuse
 //!
 //! The Jacobian sparsity pattern of a circuit is fixed for its lifetime, so
-//! all per-structure work — triplet compression order, RCM ordering, the
-//! Gilbert–Peierls symbolic reach, the pivot order — is computed once and
-//! cached in a [`LinearSolverWorkspace`]. Every subsequent Newton iteration
-//! assembles in place through the cached slot maps and runs a numeric-only
-//! [`SparseLu::refactor_in_place`]. Callers that solve many same-structure
-//! systems in sequence (transient timesteps, gmin/source stepping,
-//! MPDE continuation, shooting, parameter sweeps) should create one
-//! workspace and pass it to [`newton_solve_with_workspace`] so the cache
-//! also persists *across* Newton solves; [`newton_solve`] is the
-//! convenience wrapper that scopes the workspace to a single solve.
+//! all per-structure work — triplet compression order, the fill-reducing
+//! ordering, the Gilbert–Peierls symbolic reach, the pivot order — is
+//! computed once and cached in a [`LinearSolverWorkspace`]. Every
+//! subsequent Newton iteration assembles in place through the cached slot
+//! maps and runs a numeric-only [`SparseLu::refactor_in_place`]. Callers
+//! that solve many same-structure systems in sequence (transient
+//! timesteps, gmin/source stepping, MPDE continuation, shooting, parameter
+//! sweeps) should create one workspace and pass it to
+//! [`newton_solve_with_workspace`] so the cache also persists *across*
+//! Newton solves; [`newton_solve`] is the convenience wrapper that scopes
+//! the workspace to a single solve.
 
 use rfsim_numerics::krylov::{gmres_budgeted, BlockJacobiPrecond, GmresOptions, Ilu0};
 use rfsim_numerics::pool::WorkerPool;
 use rfsim_numerics::sparse::{
     CscAssembly, CscMatrix, CsrAssembly, CsrMatrix, PatternFingerprint, Triplets,
 };
-use rfsim_numerics::sparse_lu::{LuOptions, SparseLu};
+use rfsim_numerics::sparse_lu::{LuOptions, Ordering, SparseLu};
 use rfsim_numerics::vector::{norm2, wrms_ratio};
 use rfsim_numerics::NumericsError;
 use rfsim_numerics::SolveBudget;
@@ -57,7 +58,10 @@ pub enum RefactorStrategy {
 /// How each Newton linear system `J·dx = −F` is solved.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum LinearSolver {
-    /// Sparse direct LU (Gilbert–Peierls with RCM ordering). The default.
+    /// Sparse direct LU (Gilbert–Peierls). Ordered by nested dissection
+    /// over the system's [`NewtonSystem::block_size`] blocks when it has
+    /// more than one unknown per block, by reverse Cuthill–McKee
+    /// otherwise. The default.
     #[default]
     Direct,
     /// Restarted GMRES preconditioned with ILU(0); falls back to the direct
@@ -101,15 +105,18 @@ impl LinearSolver {
         }
     }
 
+    /// Solves `jac·x = rhs`; `block` is the system's
+    /// [`NewtonSystem::block_size`], which picks the direct path's ordering.
     fn solve_with(
         &self,
         ws: &mut LinearSolverWorkspace,
         jac: &Triplets,
         rhs: &[f64],
+        block: usize,
         budget: &SolveBudget,
     ) -> Result<Vec<f64>> {
         match self {
-            LinearSolver::Direct => ws.solve_direct(jac, rhs),
+            LinearSolver::Direct => ws.solve_direct(jac, rhs, block),
             LinearSolver::GmresIlu0 {
                 rtol,
                 restart,
@@ -144,7 +151,7 @@ impl LinearSolver {
                     }
                     None => {
                         ws.stats.direct_fallbacks += 1;
-                        ws.solve_direct(jac, rhs)
+                        ws.solve_direct(jac, rhs, block)
                     }
                 }
             }
@@ -183,7 +190,7 @@ impl LinearSolver {
                     }
                     None => {
                         ws.stats.direct_fallbacks += 1;
-                        ws.solve_direct(jac, rhs)
+                        ws.solve_direct(jac, rhs, block)
                     }
                 }
             }
@@ -444,7 +451,15 @@ impl LinearSolverWorkspace {
     /// strategy decides sequential vs pooled execution), full
     /// factorisation otherwise. Used by [`LinearSolver::Direct`] and as
     /// the fallback of both Krylov configurations.
-    fn solve_direct(&mut self, jac: &Triplets, rhs: &[f64]) -> Result<Vec<f64>> {
+    ///
+    /// Full factorisations order by nested dissection over `block`-sized
+    /// diagonal blocks, which falls back to reverse Cuthill–McKee for
+    /// `block == 1` or when the blocks do not tile the matrix.
+    fn solve_direct(&mut self, jac: &Triplets, rhs: &[f64], block: usize) -> Result<Vec<f64>> {
+        let options = LuOptions {
+            ordering: Ordering::NestedDissection { block },
+            ..Default::default()
+        };
         self.assemble_csc(jac);
         let csc = self.csc.as_ref().expect("assembled above");
         match &mut self.lu {
@@ -465,14 +480,14 @@ impl LinearSolverWorkspace {
                         // No admissible in-pattern pivot (or stale
                         // structure): fall back to a full factorisation,
                         // free to repivot.
-                        *lu = SparseLu::factor(csc, LuOptions::default())?;
+                        *lu = SparseLu::factor(csc, options)?;
                         self.stats.full_factorizations += 1;
                         self.stats.full_fallbacks += 1;
                     }
                 }
             }
             None => {
-                self.lu = Some(SparseLu::factor(csc, LuOptions::default())?);
+                self.lu = Some(SparseLu::factor(csc, options)?);
                 self.stats.full_factorizations += 1;
             }
         }
@@ -672,6 +687,16 @@ pub trait NewtonSystem {
     /// Evaluates `F(x)` into `out` and its Jacobian into `jac`
     /// (`jac` arrives empty).
     fn residual_and_jacobian(&self, x: &[f64], out: &mut [f64], jac: &mut Triplets);
+
+    /// Unknowns per structural block: the system's unknowns come in
+    /// consecutive groups of this size that couple to each other as
+    /// groups (the MPDE grid holds one circuit-sized block per grid
+    /// point). The direct solver orders a multi-block Jacobian by nested
+    /// dissection over those blocks; the default 1 keeps reverse
+    /// Cuthill–McKee.
+    fn block_size(&self) -> usize {
+        1
+    }
 }
 
 /// Options for [`newton_solve`].
@@ -855,7 +880,10 @@ pub fn newton_solve_budgeted<S: NewtonSystem>(
         // Newton step: J·dx = −F.
         let neg_f: Vec<f64> = residual.iter().map(|v| -v).collect();
         let mut dx = if fresh {
-            match options.linear.solve_with(workspace, &jac, &neg_f, budget) {
+            match options
+                .linear
+                .solve_with(workspace, &jac, &neg_f, system.block_size(), budget)
+            {
                 Ok(dx) => dx,
                 // Re-stamp an inner-loop interruption with outer
                 // (Newton-level) iteration context before reporting.
@@ -1090,6 +1118,84 @@ mod tests {
             jac.push(1, 0, x[1]);
             jac.push(1, 1, x[0]);
         }
+    }
+
+    /// A linear system on a `side × side` periodic grid of points holding
+    /// two unknowns each, coupled to the four neighbouring points through
+    /// unknown 0 only; declares its two-unknown blocks when `blocked`.
+    struct BlockTorus {
+        side: usize,
+        blocked: bool,
+    }
+
+    impl NewtonSystem for BlockTorus {
+        fn dim(&self) -> usize {
+            2 * self.side * self.side
+        }
+        fn residual(&self, x: &[f64], out: &mut [f64]) {
+            let mut jac = Triplets::new(self.dim(), self.dim());
+            self.residual_and_jacobian(x, out, &mut jac);
+        }
+        fn residual_and_jacobian(&self, x: &[f64], out: &mut [f64], jac: &mut Triplets) {
+            let s = self.side;
+            for p in 0..s * s {
+                let (i, j) = (p % s, p / s);
+                let neighbours = [
+                    2 * (j * s + (i + 1) % s),
+                    2 * (j * s + (i + s - 1) % s),
+                    2 * (((j + 1) % s) * s + i),
+                    2 * (((j + s - 1) % s) * s + i),
+                ];
+                out[2 * p] = 5.0 * x[2 * p] + x[2 * p + 1] - 1.0;
+                jac.push(2 * p, 2 * p, 5.0);
+                jac.push(2 * p, 2 * p + 1, 1.0);
+                for col in neighbours {
+                    out[2 * p] -= x[col];
+                    jac.push(2 * p, col, -1.0);
+                }
+                out[2 * p + 1] = x[2 * p] + 3.0 * x[2 * p + 1] - 1.0;
+                jac.push(2 * p + 1, 2 * p, 1.0);
+                jac.push(2 * p + 1, 2 * p + 1, 3.0);
+            }
+        }
+        fn block_size(&self) -> usize {
+            if self.blocked {
+                2
+            } else {
+                1
+            }
+        }
+    }
+
+    #[test]
+    fn direct_solve_orders_by_the_system_block_size() {
+        let factor_nnz = |blocked: bool| {
+            let sys = BlockTorus { side: 8, blocked };
+            let mut ws = LinearSolverWorkspace::new();
+            let x0 = vec![0.0; sys.dim()];
+            newton_solve_with_workspace(&sys, &x0, &[], NewtonOptions::default(), &mut ws)
+                .expect("newton");
+            let mut jac = Triplets::new(sys.dim(), sys.dim());
+            sys.residual_and_jacobian(&x0, &mut vec![0.0; sys.dim()], &mut jac);
+            (ws.lu.expect("factored").nnz(), jac.to_csc())
+        };
+        let nnz_of = |csc: &CscMatrix, ordering| {
+            let options = LuOptions {
+                ordering,
+                ..Default::default()
+            };
+            SparseLu::factor(csc, options).expect("factor").nnz()
+        };
+        let (blocked, csc) = factor_nnz(true);
+        let (unblocked, _) = factor_nnz(false);
+        let nd = nnz_of(&csc, Ordering::NestedDissection { block: 2 });
+        let rcm = nnz_of(&csc, Ordering::Rcm);
+        assert_ne!(nd, rcm, "the torus must tell the orderings apart");
+        assert_eq!(
+            blocked, nd,
+            "a blocked system factors under nested dissection"
+        );
+        assert_eq!(unblocked, rcm, "block size 1 keeps RCM");
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! (backward Euler by default — the robust choice for switching circuits;
 //! central or BDF2 for higher accuracy). The resulting `n·N1·N2` nonlinear
 //! system is handed to the damped Newton solver; its Jacobian couples each
-//! grid point to its stencil neighbours only, so sparse LU with RCM
-//! ordering (or GMRES+ILU(0)) stays tractable — this is the structural
-//! reason the method beats 300 000-step shooting.
+//! grid point to its stencil neighbours only, so sparse LU ordered by
+//! nested dissection over the grid points (or GMRES+ILU(0)) stays
+//! tractable — this is the structural reason the method beats 300 000-step
+//! shooting.
 //!
 //! Two homotopy knobs support the continuation solver:
 //! * `lambda` scales the AC part of the excitation
@@ -121,6 +122,11 @@ impl<'a> MpdeSystem<'a> {
 impl NewtonSystem for MpdeSystem<'_> {
     fn dim(&self) -> usize {
         self.n() * self.grid.num_points()
+    }
+
+    /// One block per grid point: the circuit's unknowns at that point.
+    fn block_size(&self) -> usize {
+        self.n()
     }
 
     fn residual(&self, x: &[f64], out: &mut [f64]) {

@@ -164,9 +164,9 @@ pub fn solve_mpde(
 ///
 /// The grid Jacobian's structure depends only on the circuit and the grid,
 /// so warm-started parameter sweeps (same circuit, same `n1 × n2`) that
-/// pass one workspace across calls pay for the RCM ordering, symbolic
-/// reach and pivot search exactly once; the workspace is also shared with
-/// the continuation fallback inside each call.
+/// pass one workspace across calls pay for the nested-dissection
+/// ordering, symbolic reach and pivot search exactly once; the workspace
+/// is also shared with the continuation fallback inside each call.
 ///
 /// # Errors
 ///

@@ -13,7 +13,8 @@
 //!   map triplet slots to compressed value slots so fixed-structure
 //!   Jacobians re-assemble by in-place scatter (no sort/dedup/alloc).
 //! * [`sparse_lu`] — left-looking sparse LU (Gilbert–Peierls) with partial
-//!   pivoting and fill-reducing ordering (reverse Cuthill–McKee), split
+//!   pivoting and fill-reducing ordering (reverse Cuthill–McKee, or nested
+//!   dissection over the blocks of a grid Jacobian), split
 //!   KLU-style into a one-time symbolic analysis
 //!   ([`sparse_lu::SymbolicLu`]: permutations, pivot order, elimination
 //!   patterns) and numeric-only refactorisation

@@ -15,7 +15,7 @@
 //!   [`LinearSolverWorkspace`]s under those keys. A batch of circuits with
 //!   mixed topologies routes every solve to a workspace warmed on *its*
 //!   structure, so nothing thrashes: each distinct pattern pays for its
-//!   RCM ordering, symbolic reach and pivot order exactly once per
+//!   fill-reducing ordering, symbolic reach and pivot order exactly once per
 //!   concurrent user, however the batch interleaves. Fingerprints are
 //!   routing keys only — the workspace itself still verifies every stamp
 //!   position and the stored factor pattern, so a hash collision costs a

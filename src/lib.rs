@@ -33,9 +33,10 @@
 //!    the compressed matrix in place: no counting sort, no dedup, no
 //!    allocation.
 //! 2. **Factorisation** — [`numerics::sparse_lu::SparseLu::factor`] runs
-//!    the full Gilbert–Peierls pipeline (RCM ordering, DFS reach, threshold
-//!    pivoting) once; its [`numerics::sparse_lu::SymbolicLu`] structure
-//!    then drives numeric-only
+//!    the full Gilbert–Peierls pipeline (fill-reducing ordering, DFS
+//!    reach, threshold pivoting) once; its
+//!    [`numerics::sparse_lu::SymbolicLu`] structure then drives
+//!    numeric-only
 //!    [`numerics::sparse_lu::SparseLu::refactor_in_place`] calls —
 //!    triangular solves over the recorded pattern, no ordering, no reach,
 //!    no pivot search, zero allocation.
