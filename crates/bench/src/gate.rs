@@ -437,120 +437,6 @@ pub fn netlist_submit_scenario(reps: usize) -> NetlistSubmitOutcome {
     }
 }
 
-/// Outcome of the engine-level repeated-batch memoisation scenario.
-#[derive(Debug, Clone, Copy)]
-pub struct EngineMemoOutcome {
-    /// Median ns to run the batch with the solution memo cold (evicted
-    /// before every rep: probe + full Newton solves).
-    pub fresh_ns: f64,
-    /// Median ns to run the identical batch against a warm memo.
-    pub memo_ns: f64,
-    /// Memo hits observed during the memo reps.
-    pub memo_hits: usize,
-    /// Whether every rep — fresh re-solves and memo hits alike — carried
-    /// the bit-identical sample digest of the first run.
-    pub bit_identical: bool,
-}
-
-impl EngineMemoOutcome {
-    /// Memo speedup: fresh batch time over memoised batch time.
-    pub fn speedup(&self) -> f64 {
-        self.fresh_ns / self.memo_ns
-    }
-}
-
-/// The engine-level repeated-batch scenario (PR 5 acceptance criterion):
-/// a long-lived `SweepEngine` in deterministic mode is handed the same
-/// tokened two-family diode-clipper batch over and over. Fresh reps evict
-/// the solution memo first and pay the full sweeps; memo reps are served
-/// from the memo and must be (a) ≥ 10x faster and (b) bit-identical to
-/// the fresh solves. This is the same shape as [`memo_roundtrip`], one
-/// layer down: no service, no store — the engine alone.
-pub fn engine_memo_scenario(reps: usize) -> EngineMemoOutcome {
-    use rfsim_circuit::{BiWaveform, CircuitBuilder, DiodeParams, Envelope, GROUND};
-    use rfsim_rf::key::{fnv1a_bytes, FNV_OFFSET};
-    use rfsim_rf::pool::WorkerPool;
-    use rfsim_rf::sweep::{MpdeSweepJob, SweepEngine, SweepPoint};
-
-    let (f1, fd) = (1e6, 10e3);
-    let clipper = |r_source: f64| {
-        move |amplitude: f64| {
-            let mut b = CircuitBuilder::new();
-            let inp = b.node("in");
-            let out = b.node("out");
-            b.vsource(
-                "VRF",
-                inp,
-                GROUND,
-                BiWaveform::ShearedCarrier {
-                    amplitude,
-                    k: 1,
-                    f1,
-                    fd,
-                    phase: 0.0,
-                    envelope: Envelope::Unit,
-                },
-            )?;
-            b.resistor("R1", inp, out, r_source)?;
-            b.diode("D1", out, GROUND, DiodeParams::default())?;
-            b.capacitor("C1", out, GROUND, 1e-9)?;
-            b.build()
-        }
-    };
-    let opts = MpdeOptions {
-        n1: 16,
-        n2: 8,
-        ..Default::default()
-    };
-    let jobs: Vec<MpdeSweepJob> = [1e3, 2e3]
-        .iter()
-        .map(|&r| {
-            MpdeSweepJob::new(
-                format!("clipper/{r}"),
-                vec![0.1, 0.2],
-                1.0 / f1,
-                1.0 / fd,
-                opts.clone(),
-                clipper(r),
-            )
-            .with_memo_token(format!("clipper/{r}"))
-        })
-        .collect();
-    // Deterministic mode: fresh re-solves are bit-reproducible, so the
-    // digest comparison pins replay identity, not scheduling luck.
-    let engine = SweepEngine::with_pool(WorkerPool::new(1)).chain_topology_groups(false);
-    let digest = |results: &[rfsim_circuit::Result<Vec<SweepPoint>>]| {
-        let mut h = FNV_OFFSET;
-        for r in results {
-            for p in r.as_ref().expect("batch converges") {
-                for &s in &p.solution.solution.data {
-                    h = fnv1a_bytes(h, &s.to_bits().to_le_bytes());
-                }
-            }
-        }
-        h
-    };
-    let reference = digest(&engine.run_mpde_batch(&jobs));
-    let mut bit_identical = true;
-    let fresh_ns = time_median_ns(reps, || {
-        engine.evict_memo(None);
-        bit_identical &= digest(&engine.run_mpde_batch(&jobs)) == reference;
-    });
-    // Re-prime, then measure pure memo service time.
-    bit_identical &= digest(&engine.run_mpde_batch(&jobs)) == reference;
-    let hits_before = engine.memo_stats().hits;
-    let memo_ns = time_median_ns(reps, || {
-        bit_identical &= digest(&engine.run_mpde_batch(&jobs)) == reference;
-    });
-    let memo_hits = engine.memo_stats().hits - hits_before;
-    EngineMemoOutcome {
-        fresh_ns,
-        memo_ns,
-        memo_hits,
-        bit_identical,
-    }
-}
-
 /// Outcome of the build-free (keyless) submit scenario.
 #[derive(Debug, Clone, Copy)]
 pub struct KeylessSubmitOutcome {
@@ -1278,16 +1164,6 @@ mod tests {
         // floor itself is enforced by `bench_gate` in release mode).
         let outcome = memo_roundtrip(1);
         assert!(outcome.memo_hits >= 1, "{outcome:?}");
-        assert!(outcome.bit_identical, "{outcome:?}");
-        assert!(outcome.speedup() > 1.0, "{outcome:?}");
-    }
-
-    #[test]
-    fn engine_memo_hits_and_replays_bit_identically() {
-        // One cheap reprise of the PR 5 acceptance criterion (the >= 10x
-        // floor itself is enforced by `bench_gate` in release mode).
-        let outcome = engine_memo_scenario(1);
-        assert_eq!(outcome.memo_hits, 2, "{outcome:?}");
         assert!(outcome.bit_identical, "{outcome:?}");
         assert!(outcome.speedup() > 1.0, "{outcome:?}");
     }

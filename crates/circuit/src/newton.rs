@@ -21,7 +21,6 @@
 //! the workspace to a single solve.
 
 use rfsim_numerics::krylov::{gmres_budgeted, BlockJacobiPrecond, GmresOptions, Ilu0};
-use rfsim_numerics::pool::WorkerPool;
 use rfsim_numerics::sparse::{
     CscAssembly, CscMatrix, CsrAssembly, CsrMatrix, PatternFingerprint, Triplets,
 };
@@ -32,28 +31,6 @@ use rfsim_numerics::SolveBudget;
 
 use crate::circuit::UnknownKind;
 use crate::{CircuitError, Result};
-
-/// How a [`LinearSolverWorkspace`] runs the numeric refactorisation that
-/// dominates every direct Newton iteration after the first.
-///
-/// Both strategies ride the same resilience ladder
-/// (see [`rfsim_numerics::sparse_lu`]): numeric-only refresh of the cached
-/// symbolic structure, KLU-style in-pattern pivot exchange when an
-/// operating-point jump kills a recorded pivot, and a full
-/// re-factorisation only when no in-pattern row qualifies.
-#[derive(Debug, Clone, Default)]
-pub enum RefactorStrategy {
-    /// Refactor on the calling thread. The default, and the right choice
-    /// on single-core hosts or for small circuit Jacobians.
-    #[default]
-    Sequential,
-    /// Pipeline the per-column numeric refactorisation across the pool's
-    /// workers ([`SparseLu::refactor_in_place_parallel`]). Worth it for
-    /// the large MPDE/HB grid Jacobians (`n·N1·N2` unknowns) on
-    /// multi-core hosts; pivot exchanges still run on the sequential
-    /// fallback inside the same call.
-    Parallel(WorkerPool),
-}
 
 /// How each Newton linear system `J·dx = −F` is solved.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -206,9 +183,6 @@ pub struct WorkspaceStats {
     pub full_factorizations: usize,
     /// Numeric-only refactorisations through the cached symbolic structure.
     pub refactorizations: usize,
-    /// Refactorisations carried by the parallel column pipeline
-    /// ([`RefactorStrategy::Parallel`]); a subset of `refactorizations`.
-    pub parallel_refactorizations: usize,
     /// KLU-style in-pattern pivot exchanges performed by restricted
     /// pivoting — operating-point jumps that would previously have cost a
     /// full re-factorisation each.
@@ -229,21 +203,9 @@ pub struct WorkspaceStats {
     /// In-place numeric refreshes of a cached ILU(0)/block-Jacobi
     /// preconditioner over its existing pattern (no allocation).
     pub precond_refreshes: usize,
-    /// Preconditioner refreshes carried by the pooled block-parallel path
-    /// ([`RefactorStrategy::Parallel`]); a subset of `precond_refreshes`.
-    pub parallel_precond_refreshes: usize,
     /// Preconditioner (re)builds from scratch (first use, structural
     /// change, or recovery from a refresh breakdown).
     pub precond_rebuilds: usize,
-    /// Whole sub-jobs served from the sweep engine's solution memo
-    /// without running Newton at all (see `rfsim_rf::sweep::SweepEngine`).
-    /// Counted here so the memo's effect rolls up through the same
-    /// [`WorkspaceCache::solver_stats`] channel as every other reuse
-    /// counter.
-    pub engine_memo_hits: usize,
-    /// Memo-eligible sub-jobs that missed the solution memo and paid a
-    /// full sweep (jobs without a memo token are not counted).
-    pub engine_memo_misses: usize,
     /// Recovery-ladder rungs attempted by a
     /// [`NewtonDriver`](crate::driver::NewtonDriver) solve (a one-rung
     /// solve that converges first try counts 1).
@@ -262,7 +224,6 @@ impl WorkspaceStats {
         let WorkspaceStats {
             full_factorizations,
             refactorizations,
-            parallel_refactorizations,
             pivot_exchanges,
             full_fallbacks,
             pattern_rebuilds,
@@ -270,16 +231,12 @@ impl WorkspaceStats {
             iterative_solves,
             direct_fallbacks,
             precond_refreshes,
-            parallel_precond_refreshes,
             precond_rebuilds,
-            engine_memo_hits,
-            engine_memo_misses,
             rung_attempts,
             rung_successes,
         } = other;
         self.full_factorizations += full_factorizations;
         self.refactorizations += refactorizations;
-        self.parallel_refactorizations += parallel_refactorizations;
         self.pivot_exchanges += pivot_exchanges;
         self.full_fallbacks += full_fallbacks;
         self.pattern_rebuilds += pattern_rebuilds;
@@ -287,10 +244,7 @@ impl WorkspaceStats {
         self.iterative_solves += iterative_solves;
         self.direct_fallbacks += direct_fallbacks;
         self.precond_refreshes += precond_refreshes;
-        self.parallel_precond_refreshes += parallel_precond_refreshes;
         self.precond_rebuilds += precond_rebuilds;
-        self.engine_memo_hits += engine_memo_hits;
-        self.engine_memo_misses += engine_memo_misses;
         self.rung_attempts += rung_attempts;
         self.rung_successes += rung_successes;
     }
@@ -319,8 +273,6 @@ pub struct LinearSolverWorkspace {
     /// Cached block-Jacobi preconditioner, refreshed in place per solve
     /// while the dimensions and block size hold.
     block_jacobi: Option<BlockJacobiPrecond>,
-    /// How direct refactorisations run (sequential or pooled).
-    refactor_strategy: RefactorStrategy,
     /// Reuse counters (diagnostics; cheap to read, never reset internally).
     pub stats: WorkspaceStats,
 }
@@ -329,27 +281,6 @@ impl LinearSolverWorkspace {
     /// Creates an empty workspace; caches fill in on first use.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an empty workspace running direct refactorisations under
-    /// `strategy`.
-    pub fn with_strategy(strategy: RefactorStrategy) -> Self {
-        LinearSolverWorkspace {
-            refactor_strategy: strategy,
-            ..Default::default()
-        }
-    }
-
-    /// Replaces the refactorisation strategy (cached factors and
-    /// preconditioners are kept — the strategy only changes how the next
-    /// numeric refresh is scheduled).
-    pub fn set_refactor_strategy(&mut self, strategy: RefactorStrategy) {
-        self.refactor_strategy = strategy;
-    }
-
-    /// The current refactorisation strategy.
-    pub fn refactor_strategy(&self) -> &RefactorStrategy {
-        &self.refactor_strategy
     }
 
     /// Assembles `jac` into the cached CSC matrix through the slot map,
@@ -417,25 +348,13 @@ impl LinearSolverWorkspace {
         let csr = self.csr.as_ref().expect("assembled above");
         match &mut self.block_jacobi {
             Some(bj) if bj.block_size() == block_size && bj.matches(csr) => {
-                // The blocks are embarrassingly parallel, so the refresh
-                // follows the workspace's refactor strategy the same way
-                // the direct LU path does (bit-identical either way).
-                let refreshed = match &self.refactor_strategy {
-                    RefactorStrategy::Sequential => bj.refactor_in_place(csr).map(|()| false),
-                    RefactorStrategy::Parallel(pool) => bj.refactor_in_place_parallel(csr, pool),
-                };
-                match refreshed {
-                    Err(e) => {
-                        self.block_jacobi = None;
-                        return Err(e.into());
-                    }
-                    Ok(pooled) => {
-                        self.stats.precond_refreshes += 1;
-                        if pooled {
-                            self.stats.parallel_precond_refreshes += 1;
-                        }
-                    }
+                if let Err(e) = bj.refactor_in_place(csr) {
+                    // Breakdown leaves unspecified values: drop the cache
+                    // so the next attempt rebuilds.
+                    self.block_jacobi = None;
+                    return Err(e.into());
                 }
+                self.stats.precond_refreshes += 1;
             }
             _ => {
                 self.block_jacobi = Some(BlockJacobiPrecond::new(csr, block_size)?);
@@ -447,8 +366,7 @@ impl LinearSolverWorkspace {
 
     /// The shared direct-LU path: in-place assembly, numeric-only
     /// refactorisation when the cached symbolic structure still applies
-    /// (restricted pivoting repairs vanished pivots in-pattern; the
-    /// strategy decides sequential vs pooled execution), full
+    /// (restricted pivoting repairs vanished pivots in-pattern), full
     /// factorisation otherwise. Used by [`LinearSolver::Direct`] and as
     /// the fallback of both Krylov configurations.
     ///
@@ -464,17 +382,10 @@ impl LinearSolverWorkspace {
         let csc = self.csc.as_ref().expect("assembled above");
         match &mut self.lu {
             Some(lu) => {
-                let refreshed = match &self.refactor_strategy {
-                    RefactorStrategy::Sequential => lu.refactor_in_place(csc),
-                    RefactorStrategy::Parallel(pool) => lu.refactor_in_place_parallel(csc, pool),
-                };
-                match refreshed {
+                match lu.refactor_in_place(csc) {
                     Ok(report) => {
                         self.stats.refactorizations += 1;
                         self.stats.pivot_exchanges += report.pivot_exchanges;
-                        if report.parallel {
-                            self.stats.parallel_refactorizations += 1;
-                        }
                     }
                     Err(_) => {
                         // No admissible in-pattern pivot (or stale
@@ -1536,60 +1447,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_strategy_matches_sequential_and_counts() {
-        // Width-2 pool: even on a single-core host the pipeline threads
-        // run (timeshared), so correctness and counters are testable
-        // everywhere; the speedup itself is covered by the multi-core CI
-        // job.
-        let mut seq_ws = LinearSolverWorkspace::new();
-        let (x_seq, _) = newton_solve_with_workspace(
-            &Coupled,
-            &[2.5, 0.1],
-            &[],
-            NewtonOptions::default(),
-            &mut seq_ws,
-        )
-        .expect("sequential");
-        let mut par_ws =
-            LinearSolverWorkspace::with_strategy(RefactorStrategy::Parallel(WorkerPool::new(2)));
-        assert!(matches!(
-            par_ws.refactor_strategy(),
-            RefactorStrategy::Parallel(_)
-        ));
-        let (x_par, _) = newton_solve_with_workspace(
-            &Coupled,
-            &[2.5, 0.1],
-            &[],
-            NewtonOptions::default(),
-            &mut par_ws,
-        )
-        .expect("parallel");
-        assert_eq!(x_seq, x_par, "pipeline must be bit-identical");
-        assert!(par_ws.stats.refactorizations >= 1);
-        assert_eq!(
-            par_ws.stats.parallel_refactorizations, par_ws.stats.refactorizations,
-            "every refresh of this solve should ride the pipeline"
-        );
-        assert_eq!(seq_ws.stats.parallel_refactorizations, 0);
-        // Strategy can be swapped mid-life without losing the caches.
-        par_ws.set_refactor_strategy(RefactorStrategy::Sequential);
-        let before = par_ws.stats;
-        newton_solve_with_workspace(
-            &Coupled,
-            &[2.0, 0.5],
-            &[],
-            NewtonOptions::default(),
-            &mut par_ws,
-        )
-        .expect("after strategy swap");
-        assert_eq!(par_ws.stats.full_factorizations, before.full_factorizations);
-        assert_eq!(
-            par_ws.stats.parallel_refactorizations,
-            before.parallel_refactorizations
-        );
-    }
-
-    #[test]
     fn gmres_ilu0_refreshes_cached_preconditioner() {
         // Two solves over one structure: the first builds the ILU(0)
         // preconditioner, every later iteration refreshes it in place.
@@ -1618,9 +1475,9 @@ mod tests {
     }
 
     #[test]
-    fn gmres_block_jacobi_parallel_refresh_matches_sequential() {
+    fn gmres_block_jacobi_refreshes_cached_preconditioner() {
         // block_size 1 on the 2-unknown system gives two independent
-        // blocks — enough for the pooled refresh to actually chunk.
+        // blocks: one build, then in-place refreshes every iteration.
         let opts = NewtonOptions {
             linear: LinearSolver::GmresBlockJacobi {
                 block_size: 1,
@@ -1630,23 +1487,12 @@ mod tests {
             },
             ..Default::default()
         };
-        let mut seq = LinearSolverWorkspace::new();
-        let (x_seq, _) = newton_solve_with_workspace(&Coupled, &[2.5, 0.1], &[], opts, &mut seq)
-            .expect("sequential");
-        newton_solve_with_workspace(&Coupled, &[2.0, 0.5], &[], opts, &mut seq).expect("seq 2");
-        let mut par =
-            LinearSolverWorkspace::with_strategy(RefactorStrategy::Parallel(WorkerPool::new(2)));
-        let (x_par, _) = newton_solve_with_workspace(&Coupled, &[2.5, 0.1], &[], opts, &mut par)
-            .expect("parallel");
-        newton_solve_with_workspace(&Coupled, &[2.0, 0.5], &[], opts, &mut par).expect("par 2");
-        assert_eq!(x_seq, x_par, "block-parallel refresh must be bit-identical");
-        assert!(par.stats.precond_refreshes >= 1, "{:?}", par.stats);
-        assert_eq!(
-            par.stats.parallel_precond_refreshes, par.stats.precond_refreshes,
-            "every refresh under the Parallel strategy rides the pool: {:?}",
-            par.stats
-        );
-        assert_eq!(seq.stats.parallel_precond_refreshes, 0);
+        let mut ws = LinearSolverWorkspace::new();
+        newton_solve_with_workspace(&Coupled, &[2.5, 0.1], &[], opts, &mut ws).expect("first");
+        newton_solve_with_workspace(&Coupled, &[2.0, 0.5], &[], opts, &mut ws).expect("second");
+        assert!(ws.stats.iterative_solves >= 2, "{:?}", ws.stats);
+        assert_eq!(ws.stats.precond_rebuilds, 1, "{:?}", ws.stats);
+        assert!(ws.stats.precond_refreshes >= 1, "{:?}", ws.stats);
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //! * [`krylov`] — restarted GMRES and BiCGStab with pluggable
 //!   preconditioners (identity, Jacobi, ILU(0), block-Jacobi), all of
 //!   which support in-place numeric refresh over their cached patterns.
-//! * [`pool`] — the fixed-thread [`pool::WorkerPool`] shared by the sweep
-//!   engine and the parallel numeric refactorisation.
+//! * [`pool`] — the fixed-thread [`pool::WorkerPool`] the sweep engine
+//!   runs independent topology groups on.
 //! * [`telemetry`] — fixed-allocation observability primitives: the
 //!   log-bucketed [`telemetry::LatencyHistogram`] and the bounded
 //!   per-job lifecycle [`telemetry::Timeline`], fed by the budget's

@@ -1,11 +1,9 @@
 //! A hand-rolled fixed-thread worker pool (no external dependencies).
 //!
-//! Two consumers share this pool. The sweep engine's unit of concurrency
-//! is a *topology group* — a chain of warm-started solves that must run in
-//! order on one thread; the parallel numeric refactorisation
-//! ([`crate::sparse_lu::SparseLu::refactor_in_place_parallel`]) uses the same
-//! width to size its column-pipeline workers. The job model is therefore
-//! deliberately simple: `jobs` independent indexed tasks, executed by a
+//! Its consumer is the sweep engine, whose unit of concurrency is a
+//! *topology group* — a chain of warm-started solves that must run in
+//! order on one thread, each solve refactoring sequentially. The job
+//! model is therefore deliberately simple: `jobs` independent indexed tasks, executed by a
 //! fixed number of scoped worker threads pulling from one atomic counter.
 //! There is no work stealing, no channels and no queues to poison: a
 //! worker that finishes early simply pulls the next index. Results come

@@ -1,20 +1,16 @@
-//! Parallel-scaling tests for the worker pool and the pipelined numeric
-//! refactorisation.
+//! Parallel-scaling test for the worker pool.
 //!
-//! These are `#[ignore]`d by default: they measure wall-clock speedup, so
-//! they only mean something on a multi-core host and would be pure noise
-//! on the single-core containers that run the main suite (PR 2 had to
-//! leave pool scaling untested for exactly that reason). The CI
-//! `multi-core` job runs them explicitly with `--ignored` on a 4-vCPU
+//! It is `#[ignore]`d by default: it measures wall-clock speedup, so it
+//! only means something on a multi-core host and would be pure noise on
+//! the single-core containers that run the main suite. The CI
+//! `multi-core` job runs it explicitly with `--ignored` on a 4-vCPU
 //! runner; locally: `cargo test -p rfsim-numerics --test parallel_scaling
-//! -- --ignored`. Each test skips itself (with a message) when fewer than
+//! -- --ignored`. The test skips itself (with a message) when fewer than
 //! two cores are available.
 
 use std::time::{Duration, Instant};
 
 use rfsim_numerics::pool::WorkerPool;
-use rfsim_numerics::sparse::Triplets;
-use rfsim_numerics::sparse_lu::{LuOptions, Ordering, SparseLu};
 
 fn cores() -> usize {
     std::thread::available_parallelism()
@@ -69,63 +65,5 @@ fn pool_speeds_up_cpu_bound_batches() {
     assert!(
         speedup > 1.3,
         "width-{width} pool should beat sequential on {cores} cores: {speedup:.2}x"
-    );
-}
-
-#[test]
-#[ignore = "wall-clock scaling: run on a multi-core host via the CI multi-core job"]
-fn parallel_refactor_speeds_up_block_jacobians() {
-    let cores = cores();
-    if cores < 2 {
-        eprintln!("skipping: single-core host (available_parallelism = {cores})");
-        return;
-    }
-    // Many independent dense blocks: the elimination DAG is embarrassingly
-    // parallel across blocks, so the column pipeline should approach the
-    // pool width. This is the favourable end of real Jacobians — the MPDE
-    // grid's per-point circuit blocks with weak inter-point coupling.
-    let (nblocks, bs) = (192, 24);
-    let n = nblocks * bs;
-    let mut t = Triplets::new(n, n);
-    for blk in 0..nblocks {
-        let base = blk * bs;
-        for i in 0..bs {
-            for j in 0..bs {
-                let v = if i == j {
-                    (bs as f64) + 1.0 + (i as f64) * 0.1
-                } else {
-                    0.5 * (((i * 7 + j * 3) % 5) as f64) - 1.0
-                };
-                t.push(base + i, base + j, v);
-            }
-        }
-    }
-    let a = t.to_csc();
-    let opts = LuOptions {
-        ordering: Ordering::Natural,
-        ..Default::default()
-    };
-    let mut seq = SparseLu::factor(&a, opts).expect("factor");
-    let mut par = seq.clone();
-    let pool = WorkerPool::new(cores.min(4));
-    let sequential = min_elapsed(5, || {
-        seq.refactor_in_place(&a).expect("sequential refactor");
-    });
-    let parallel = min_elapsed(5, || {
-        let report = par
-            .refactor_in_place_parallel(&a, &pool)
-            .expect("parallel refactor");
-        assert!(report.parallel);
-    });
-    let speedup = sequential.as_secs_f64() / parallel.as_secs_f64();
-    eprintln!(
-        "refactor n={n}: sequential {sequential:?}, pipelined {parallel:?}, speedup {speedup:.2}x"
-    );
-    // Values must agree bit-for-bit regardless of scheduling.
-    let b: Vec<f64> = (0..n).map(|k| ((k * 31 % 17) as f64) - 8.0).collect();
-    assert_eq!(seq.solve(&b), par.solve(&b));
-    assert!(
-        speedup > 1.2,
-        "pipeline should beat sequential on {cores} cores: {speedup:.2}x"
     );
 }

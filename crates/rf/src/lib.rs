@@ -11,11 +11,9 @@
 //!   fingerprint-keyed workspace cache with warm-start chaining per
 //!   topology group, executed on a hand-rolled worker pool.
 //! * [`key`] — quantised [`key::JobKey`]s for cross-batch solution
-//!   memoisation: the identity shared by the engine's built-in solution
-//!   memo ([`sweep::SweepEngine::with_solution_memo`]) and the
-//!   `rfsim-serve` solution store.
-//! * [`lru`] — the bounded, tag-evictable [`lru::TaggedLru`] both of
-//!   those memo layers store their entries in.
+//!   memoisation: the identity the `rfsim-serve` solution store keys on.
+//! * [`lru`] — the bounded, tag-evictable [`lru::TaggedLru`] the serve
+//!   tier's solution store and fingerprint cache keep their entries in.
 //! * [`pool`] — the fixed-thread [`pool::WorkerPool`] behind the engine.
 //!
 //! See `docs/architecture.md` for how this crate sits in the nine-crate

@@ -6,8 +6,9 @@
 //! one refcount bump: the stored samples are handed back byte-for-byte,
 //! which is what makes replay *bit-identical by construction*. The
 //! recency and eviction rules are the shared [`TaggedLru`]'s — the same
-//! map the sweep engine's solution memo runs on — with entries tagged by
-//! family name for targeted eviction.
+//! map the per-family fingerprint cache runs on — with entries tagged by
+//! family name for targeted eviction. It is the workspace's one solution
+//! memo: the sweep engine below it always solves.
 
 use std::sync::Arc;
 

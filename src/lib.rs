@@ -15,7 +15,7 @@
 //! | [`shooting`] | `rfsim-shooting` | Newton/Krylov shooting, periodic FD collocation |
 //! | [`hb`] | `rfsim-hb` | single- and two-tone harmonic balance |
 //! | [`mpde`] | `rfsim-mpde` | **the paper's method**: sheared MPDE grids, FDTD Newton, continuation, envelope following |
-//! | [`rf`] | `rfsim-rf` | PRBS, conversion gain, distortion, eye/ISI, the batched [`rf::sweep::SweepEngine`] + solution memo |
+//! | [`rf`] | `rfsim-rf` | PRBS, conversion gain, distortion, eye/ISI, the batched [`rf::sweep::SweepEngine`] |
 //! | [`circuits`] | `rfsim-circuits` | balanced LO-doubling mixer, unbalanced mixer, fixtures |
 //! | [`serve`] | `rfsim-serve` | the memoising simulation service: solution store, priority queue, wire protocol |
 //!

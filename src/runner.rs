@@ -312,7 +312,9 @@ fn run_steady_state(netlist: &Netlist) -> Result<RunReport, RunError> {
         }
     };
 
-    let engine = SweepEngine::new();
+    // Deterministic mode, as `SimService` runs by default: no cross-row
+    // chaining, so each row's bits match what the wire returns.
+    let engine = SweepEngine::new().chain_topology_groups(false);
     let mut result = JobResult { points: Vec::new() };
     let mut newton_iterations = 0usize;
     let mut system_size = 0usize;

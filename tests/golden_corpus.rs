@@ -14,9 +14,12 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 use rfsim::netlist::Netlist;
 use rfsim::runner::run_netlist;
+use rfsim::serve::service::{ServeConfig, SimService};
+use rfsim::serve::Priority;
 
 fn corpus_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("test_cases")
@@ -138,4 +141,49 @@ fn corpus_digests_match_the_goldens() {
              regenerate with RFSIM_REGEN_GOLDENS=1 and review the diff"
         );
     }
+}
+
+#[test]
+fn cli_digests_match_in_process_submit_netlist() {
+    // The runner's module doc promises that a CLI digest is comparable
+    // with the one a wire client observes: every servable corpus netlist
+    // must digest identically through `run_netlist` and through the
+    // default (deterministic) service's `submit_netlist`.
+    let service = SimService::start(ServeConfig {
+        threads: 1,
+        ..Default::default()
+    });
+    let mut compared = 0;
+    for path in corpus_files() {
+        let name = path
+            .file_name()
+            .and_then(|n| n.to_str())
+            .expect("utf-8 name");
+        let text = std::fs::read_to_string(&path).expect("read corpus file");
+        let netlist = Netlist::parse(&text).expect("corpus parses");
+        if !matches!(netlist.analysis.keyword(), "mpde" | "hb2" | "periodic_fd") {
+            continue;
+        }
+        let cli = run_netlist(&netlist)
+            .unwrap_or_else(|e| panic!("{name} must solve, got: {e}"))
+            .digest;
+        let submitted = service
+            .submit_netlist(&text, Priority::Normal, None)
+            .unwrap_or_else(|e| panic!("{name} must be servable, got: {e}"));
+        let served = service
+            .wait(submitted.job_id, Duration::from_secs(120))
+            .unwrap_or_else(|e| panic!("{name} must solve in the service, got: {e}"))
+            .digest();
+        assert_eq!(
+            format!("{cli:016x}"),
+            format!("{served:016x}"),
+            "{name}: CLI and submit_netlist digests differ"
+        );
+        compared += 1;
+    }
+    service.shutdown();
+    assert!(
+        compared >= 5,
+        "expected the steady-state corpus, compared {compared}"
+    );
 }
