@@ -437,6 +437,81 @@ pub fn netlist_submit_scenario(reps: usize) -> NetlistSubmitOutcome {
     }
 }
 
+/// Outcome of the loopback wire memo-hit scenario.
+#[derive(Debug, Clone, Copy)]
+pub struct WireMemoHitOutcome {
+    /// Median ns for one memo hit over loopback TCP: a `submit_netlist`
+    /// resubmit of a solved netlist followed by its `poll`.
+    pub memo_hit_ns: f64,
+    /// Memo-hit completions observed during the timed round trips.
+    pub memo_hits: usize,
+}
+
+impl WireMemoHitOutcome {
+    /// Headroom under a 1 ms budget: 1 ms over the median wire hit.
+    pub fn headroom(&self) -> f64 {
+        1e6 / self.memo_hit_ns
+    }
+}
+
+/// Wire round trips timed per rep of the wire memo-hit scenario: one
+/// hit is a fraction of a millisecond, so a rep of 7 samples would
+/// leave the median at the mercy of a single scheduler hiccup.
+const WIRE_HITS_PER_REP: usize = 25;
+
+/// The wire memo-hit scenario: a [`WireServer`](rfsim_serve::WireServer)
+/// on loopback with the default front-end, one client connection, and a
+/// one-point netlist solved once. Each timed operation resubmits the
+/// identical text and polls its job — a store hit, so the time is the
+/// front-end's two round trips plus parse and hash, with no solve. The
+/// in-process counterpart is `serve/memo_hit_submit`
+/// ([`keyless_submit_scenario`]); the gap between the two is what the
+/// wire adds.
+///
+/// The grid is one 8×4 point, a 2 KB result, so the two hops dominate
+/// the time. The 16×8, four-point grid of [`netlist_submit_scenario`]
+/// answers its poll with 33 KB of JSON, whose encode and decode alone
+/// take about 0.3–0.45 ms, more than both hops together.
+pub fn wire_memo_hit_scenario(reps: usize) -> WireMemoHitOutcome {
+    use std::time::Duration;
+
+    use rfsim_serve::service::{ServeConfig, SimService};
+    use rfsim_serve::spec::Priority;
+    use rfsim_serve::{ServeClient, WireServer};
+
+    const NETLIST: &str = "V V1 in gnd drive\nR R1 in out 1k\nC C1 out gnd 160p\n\
+                           .sweep amplitudes=0.1 spacings=10k\n\
+                           .analysis mpde f1=1M n1=8 n2=4\n";
+
+    let service = SimService::start(ServeConfig {
+        threads: 1,
+        ..Default::default()
+    });
+    let server = WireServer::start(service.clone(), "127.0.0.1:0").expect("bind loopback");
+    let mut client = ServeClient::connect(server.local_addr()).expect("connect");
+    let wait = Duration::from_secs(600);
+    let hit = |client: &mut ServeClient| {
+        let (id, _) = client
+            .submit_netlist(NETLIST, Priority::Normal, None)
+            .expect("wire netlist submit");
+        client.wait(id, wait).expect("wire poll")
+    };
+    // Prime: the first submit registers the family and solves.
+    hit(&mut client);
+    let hits_before = service.stats().counters.total().memo_hits;
+    let memo_hit_ns = time_median_ns(reps.max(1) * WIRE_HITS_PER_REP, || {
+        assert!(hit(&mut client).memo_hit, "a resubmit must hit the store");
+    });
+    let memo_hits = service.stats().counters.total().memo_hits - hits_before;
+    drop(client);
+    server.stop();
+    server.join();
+    WireMemoHitOutcome {
+        memo_hit_ns,
+        memo_hits,
+    }
+}
+
 /// Outcome of the build-free (keyless) submit scenario.
 #[derive(Debug, Clone, Copy)]
 pub struct KeylessSubmitOutcome {
@@ -1175,6 +1250,15 @@ mod tests {
         let outcome = keyless_submit_scenario(1);
         assert!(outcome.build_free(), "{outcome:?}");
         assert!(outcome.fp_cache_hits >= 1, "{outcome:?}");
+    }
+
+    #[test]
+    fn wire_memo_hit_serves_every_resubmit_from_the_store() {
+        // One cheap reprise of the wire scenario (its 2x headroom floor
+        // is enforced by `bench_gate` in release mode).
+        let outcome = wire_memo_hit_scenario(1);
+        assert_eq!(outcome.memo_hits, WIRE_HITS_PER_REP, "{outcome:?}");
+        assert!(outcome.memo_hit_ns > 0.0, "{outcome:?}");
     }
 
     #[test]

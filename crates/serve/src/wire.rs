@@ -17,9 +17,10 @@
 //! | `evict` | optional `family` | `evicted` count |
 //! | `shutdown` | — | acknowledges, then stops the server |
 //!
-//! `poll` with `wait_ms` blocks server-side until the job settles or the
-//! budget elapses (a long-poll, so clients do not busy-spin); on timeout
-//! it reports the job's current phase with `ok: true`.
+//! `poll` with `wait_ms` is a long-poll: it is answered when the job
+//! settles or the budget (capped at 2 s) elapses, so clients do not
+//! busy-spin; on timeout it reports the job's current phase with
+//! `ok: true`.
 //!
 //! # The front-end
 //!
@@ -33,6 +34,29 @@
 //! is *parked* with its `(job_id, deadline)` and answered by whichever
 //! worker next observes the job settled (or the deadline passed), so a
 //! thousand idle pollers cost queue slots, not threads.
+//!
+//! Workers wake on events rather than on a timer wherever `std` allows:
+//!
+//! * A worker that takes a connection while no other is queued waits on
+//!   whatever that connection is waiting for, for at most the 1 ms idle
+//!   quantum: a timed blocking read on an idle socket, or
+//!   [`SimService::wait`] on a parked long-poll's job, which returns as
+//!   soon as the job settles. With no more connections than workers,
+//!   each request is therefore read the moment its bytes arrive and each
+//!   parked poll answered the moment its job settles.
+//! * While other connections are queued, a visit never blocks: a worker
+//!   held by one quiet socket would delay every busy one behind it. A
+//!   visit that found nothing to do puts its connection back and sleeps
+//!   one quantum, so idle connections cost microseconds per second, not
+//!   a spinning core.
+//! * An empty ready-queue is a `Condvar` wait, signalled by the accept
+//!   thread and by a stop ([`WireServer::stop`] or the `shutdown` verb).
+//!
+//! The kernel's socket read timeout is coarse: a 1 ms timeout can take
+//! several milliseconds to expire. That is the other reason a visit
+//! blocks only when no other connection is queued — blocking while
+//! others wait would add that delay to every connection in the
+//! round-robin.
 //!
 //! Admission control is per-connection: each connection may hold at most
 //! [`FrontEndConfig::max_inflight`] unsettled jobs; a submit past the cap
@@ -48,7 +72,7 @@ use std::collections::{HashSet, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use rfsim_numerics::json::Json;
@@ -346,72 +370,43 @@ fn poll_payload(service: &SimService, id: JobId) -> Json {
     }
 }
 
-/// Executes one request against the service, returning the response and
-/// whether the connection (and server) should shut down.
-pub fn handle(service: &SimService, request: &Request) -> (Json, bool) {
+/// Executes one request that needs no front-end state: the submit
+/// shapes, an immediate `poll`, `cancel`, `trace` and `evict`. Every
+/// other request is answered by [`process`], the only caller.
+fn handle(service: &SimService, request: &Request) -> Json {
     match request {
         Request::Submit(spec) => match service.submit(spec) {
-            Ok(id) => (ok_response([("job_id", Json::from(id.0 as usize))]), false),
-            Err(e) => (error_response(&e), false),
+            Ok(id) => ok_response([("job_id", Json::from(id.0 as usize))]),
+            Err(e) => error_response(&e),
         },
         Request::SubmitNetlist {
             netlist,
             priority,
             deadline_ms,
         } => match service.submit_netlist(netlist, *priority, *deadline_ms) {
-            Ok(sub) => (
-                ok_response([
-                    ("job_id", Json::from(sub.job_id.0 as usize)),
-                    ("family", Json::string(&*sub.family)),
-                    ("registered", Json::Bool(sub.registered)),
-                ]),
-                false,
-            ),
-            Err(e) => (error_response(&e), false),
+            Ok(sub) => ok_response([
+                ("job_id", Json::from(sub.job_id.0 as usize)),
+                ("family", Json::string(&*sub.family)),
+                ("registered", Json::Bool(sub.registered)),
+            ]),
+            Err(e) => error_response(&e),
         },
-        Request::Poll { job_id, wait_ms } => {
-            let id = JobId(*job_id);
-            if *wait_ms > 0 {
-                // Long-poll: settle or time out, then report whatever
-                // phase the job is in (waiting errors are not protocol
-                // errors — the job simply is not done yet). The budget is
-                // capped server-side: an hour-long wait would pin this
-                // connection thread and stall daemon shutdown for the
-                // duration; clients needing longer simply re-poll.
-                const MAX_WAIT: Duration = Duration::from_millis(2000);
-                let wait = Duration::from_millis(*wait_ms).min(MAX_WAIT);
-                let _ = service.wait(id, wait);
-            }
-            (poll_payload(service, id), false)
-        }
+        Request::Poll { job_id, .. } => poll_payload(service, JobId(*job_id)),
         Request::Cancel { job_id } => match service.cancel(JobId(*job_id)) {
-            Ok(status) => (
-                ok_response([("status", Json::string(status.label()))]),
-                false,
-            ),
-            Err(e) => (error_response(&e), false),
+            Ok(status) => ok_response([("status", Json::string(status.label()))]),
+            Err(e) => error_response(&e),
         },
-        Request::Stats => (ok_response([("stats", service.stats().to_json())]), false),
-        Request::Metrics { json } => {
-            let stats = service.stats();
-            if *json {
-                (ok_response([("stats", stats.to_json())]), false)
-            } else {
-                (
-                    ok_response([("metrics", Json::string(metrics::exposition(&stats)))]),
-                    false,
-                )
-            }
-        }
         Request::Trace { job_id } => match service.trace(JobId(*job_id)) {
-            Ok(view) => (ok_response([("trace", view.to_json())]), false),
-            Err(e) => (error_response(&e), false),
+            Ok(view) => ok_response([("trace", view.to_json())]),
+            Err(e) => error_response(&e),
         },
         Request::Evict { family } => {
             let evicted = service.evict(family.as_deref());
-            (ok_response([("evicted", Json::from(evicted))]), false)
+            ok_response([("evicted", Json::from(evicted))])
         }
-        Request::Shutdown => (ok_response([]), true),
+        Request::Stats | Request::Metrics { .. } | Request::Shutdown => {
+            unreachable!("`process` answers the front-end verbs itself")
+        }
     }
 }
 
@@ -529,6 +524,16 @@ impl Conn {
         }
         Ok(progressed)
     }
+
+    /// One read that blocks until bytes arrive or the socket's read
+    /// timeout ([`IDLE_QUANTUM`], set at accept) expires, then puts the
+    /// socket back in non-blocking mode. A timeout reads as `WouldBlock`.
+    fn read_waiting(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.stream.set_nonblocking(false)?;
+        let read = self.stream.read(buf);
+        self.stream.set_nonblocking(true)?;
+        read
+    }
 }
 
 /// What `process` decided to do with one parsed request.
@@ -549,6 +554,66 @@ const MAX_LINE_BYTES: usize = 8 * 1024 * 1024;
 /// parked connection across a daemon shutdown; clients needing longer
 /// simply re-poll.
 const MAX_WAIT: Duration = Duration::from_millis(2000);
+
+/// The longest a worker waits on one lone connection's socket or parked
+/// job, and the pause after a visit that found nothing to do.
+const IDLE_QUANTUM: Duration = Duration::from_millis(1);
+
+/// What the accept thread, the workers and [`WireServer::stop`] share.
+struct FrontEnd {
+    config: FrontEndConfig,
+    counters: FrontendCounters,
+    /// Connections waiting for a worker visit, in round-robin order.
+    ready: Mutex<VecDeque<Conn>>,
+    /// Signalled when a connection is queued or the server stops;
+    /// workers wait on it while `ready` is empty.
+    wake: Condvar,
+    stop: AtomicBool,
+}
+
+impl FrontEnd {
+    fn stopping(&self) -> bool {
+        self.stop.load(Ordering::SeqCst)
+    }
+
+    /// Sets the stop flag and wakes every worker waiting for a
+    /// connection. The queue lock is taken so that no worker can sit
+    /// between its stop check and its wait when the signal fires.
+    fn request_stop(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        let _queue = self.ready.lock().expect("ready queue poisoned");
+        self.wake.notify_all();
+    }
+
+    /// Queues a connection — newly accepted, or handed back by a worker
+    /// about to sleep — and wakes one worker waiting for work.
+    fn enqueue(&self, conn: Conn) {
+        self.ready
+            .lock()
+            .expect("ready queue poisoned")
+            .push_back(conn);
+        self.wake.notify_one();
+    }
+
+    /// Requeues `back` (if any) and takes the connection at the head of
+    /// the queue, waiting while the queue is empty, all under one lock.
+    /// Returns the connection and whether it was the only one queued;
+    /// `None` once the server is stopping and no connection is left.
+    fn next(&self, back: Option<Conn>) -> Option<(Conn, bool)> {
+        let mut queue = self.ready.lock().expect("ready queue poisoned");
+        queue.extend(back);
+        loop {
+            if let Some(conn) = queue.pop_front() {
+                let alone = queue.is_empty();
+                return Some((conn, alone));
+            }
+            if self.stopping() {
+                return None;
+            }
+            queue = self.wake.wait(queue).expect("ready queue poisoned");
+        }
+    }
+}
 
 /// Executes one parsed request for `conn`. The submit and long-poll
 /// verbs go through front-end policy (admission control, parking);
@@ -581,7 +646,7 @@ fn process(
             }
             // Both submit shapes share `handle`'s response; the owned
             // set tracks whichever id it minted.
-            let (response, _) = handle(service, request);
+            let response = handle(service, request);
             if let Some(id) = response.number_at("job_id") {
                 conn.owned.insert(id as u64);
             }
@@ -625,10 +690,7 @@ fn process(
             }
         }
         Request::Shutdown => Processed::Shutdown(ok_response([])),
-        other => {
-            let (response, _) = handle(service, other);
-            Processed::Respond(response)
-        }
+        other => Processed::Respond(handle(service, other)),
     }
 }
 
@@ -735,32 +797,61 @@ fn frontend_exposition(config: &FrontEndConfig, counters: &FrontendCounters) -> 
     out
 }
 
+/// What one worker visit to a connection came to.
+enum Visit {
+    /// Bytes moved, or a request was answered or parked.
+    Progressed,
+    /// Nothing yet, after waiting up to [`IDLE_QUANTUM`] on the socket or
+    /// the parked job.
+    Waited,
+    /// Nothing to do, and the visit did not wait: other connections were
+    /// queued, or the peer is not taking response bytes.
+    Idle,
+    /// The connection is finished (peer gone, error, or closing).
+    Close,
+}
+
 /// One worker visit to one connection: flush pending response bytes,
 /// answer a parked long-poll if its job settled or its deadline passed,
-/// read available request bytes, execute at most one request. Returns
-/// `(progressed, close)`.
-fn step(
-    service: &SimService,
-    conn: &mut Conn,
-    config: &FrontEndConfig,
-    counters: &FrontendCounters,
-    stop: &AtomicBool,
-) -> (bool, bool) {
+/// read available request bytes, execute at most one request.
+///
+/// With `may_wait` (the connection was the only one queued), a visit
+/// that would find nothing to do first waits up to [`IDLE_QUANTUM`] for
+/// what the connection is waiting on: the parked job to settle, or
+/// request bytes to arrive. Otherwise the visit never blocks.
+fn step(service: &SimService, conn: &mut Conn, front: &FrontEnd, may_wait: bool) -> Visit {
+    let counters = &front.counters;
+    let nothing = |progressed: bool| match (progressed, may_wait) {
+        (true, _) => Visit::Progressed,
+        (false, true) => Visit::Waited,
+        (false, false) => Visit::Idle,
+    };
     let mut progressed = match conn.flush() {
         Ok(p) => p,
-        Err(_) => return (true, true),
+        Err(_) => return Visit::Close,
     };
     if !conn.outbuf.is_empty() {
         // Write-backlogged: don't read ahead of a response the peer has
-        // not accepted yet.
-        return (progressed, false);
+        // not accepted yet. The flush never blocks, so a slow reader
+        // throttles only itself.
+        return if progressed {
+            Visit::Progressed
+        } else {
+            Visit::Idle
+        };
     }
     if conn.closing {
-        return (true, true);
+        return Visit::Close;
     }
     // A parked long-poll answers before further requests are read — the
     // protocol is one response per request, in order.
     if let Some((job_id, deadline)) = conn.pending {
+        if may_wait {
+            // Sleeps on the job's shard until it settles. Its outcome is
+            // read back through `poll` below, so the result is ignored.
+            let budget = deadline.saturating_duration_since(Instant::now());
+            let _ = service.wait(JobId(job_id), budget.min(IDLE_QUANTUM));
+        }
         let settled = !matches!(
             service.poll(JobId(job_id)),
             Ok(JobStatus::Queued | JobStatus::Running)
@@ -772,20 +863,26 @@ fn step(
             let response = poll_payload(service, JobId(job_id));
             conn.queue_response(&response);
             if conn.flush().is_err() {
-                return (true, true);
+                return Visit::Close;
             }
-            return (true, false);
+            return Visit::Progressed;
         }
-        return (progressed, false);
+        return nothing(progressed);
     }
     // Read only when no complete line is already buffered, so a
     // pipelining client drains one request per visit without growing
-    // `inbuf` unboundedly.
+    // `inbuf` unboundedly. Only the first read may block.
     if !conn.inbuf.contains(&b'\n') {
         let mut buf = [0u8; 16 * 1024];
+        let mut block = may_wait;
         loop {
-            match conn.stream.read(&mut buf) {
-                Ok(0) => return (true, true), // EOF: client hung up.
+            let read = if std::mem::take(&mut block) {
+                conn.read_waiting(&mut buf)
+            } else {
+                conn.stream.read(&mut buf)
+            };
+            match read {
+                Ok(0) => return Visit::Close, // EOF: client hung up.
                 Ok(n) => {
                     conn.inbuf.extend_from_slice(&buf[..n]);
                     progressed = true;
@@ -799,7 +896,11 @@ fn step(
                         conn.queue_response(&refusal);
                         conn.closing = true;
                         let _ = conn.flush();
-                        return (true, conn.outbuf.is_empty());
+                        return if conn.outbuf.is_empty() {
+                            Visit::Close
+                        } else {
+                            Visit::Progressed
+                        };
                     }
                 }
                 Err(e)
@@ -811,12 +912,12 @@ fn step(
                     break;
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return (true, true),
+                Err(_) => return Visit::Close,
             }
         }
     }
     let Some(nl) = conn.inbuf.iter().position(|&b| b == b'\n') else {
-        return (progressed, false);
+        return nothing(progressed);
     };
     let line: Vec<u8> = conn.inbuf.drain(..=nl).collect();
     let text = String::from_utf8_lossy(&line);
@@ -827,7 +928,7 @@ fn step(
             Err(e) => conn.queue_response(&error_response(&e)),
             Ok(request) => {
                 let started = Instant::now();
-                let outcome = process(service, conn, &request, config, counters);
+                let outcome = process(service, conn, &request, &front.config, counters);
                 counters.record_request(request.verb_index(), started.elapsed());
                 match outcome {
                     Processed::Respond(response) => conn.queue_response(&response),
@@ -835,65 +936,55 @@ fn step(
                     Processed::Shutdown(response) => {
                         conn.queue_response(&response);
                         conn.closing = true;
-                        stop.store(true, Ordering::SeqCst);
+                        front.request_stop();
                     }
                 }
             }
         }
         if conn.flush().is_err() {
-            return (true, true);
+            return Visit::Close;
         }
     }
     if conn.closing && conn.outbuf.is_empty() {
-        return (true, true);
+        return Visit::Close;
     }
-    (true, false)
+    Visit::Progressed
 }
 
-/// One front-end worker: take a ready connection, make progress, put it
-/// back. Sleeps briefly when nothing progressed so idle connections cost
-/// microseconds per second, not a spinning core.
-fn worker_loop(
-    service: &Arc<SimService>,
-    ready: &Mutex<VecDeque<Conn>>,
-    config: &FrontEndConfig,
-    counters: &FrontendCounters,
-    stop: &AtomicBool,
-) {
-    loop {
-        let conn = ready.lock().expect("ready queue poisoned").pop_front();
-        match conn {
-            None => {
-                if stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(2));
+/// One front-end worker: take a ready connection, visit it, put it
+/// back. A connection taken while no other is queued may wait up to the
+/// idle quantum, so the worker sleeps on that socket or job rather than
+/// on a timer. A visit that neither progressed nor waited puts its
+/// connection back and sleeps one quantum, so idle connections cost
+/// microseconds per second, not a spinning core. An empty queue is
+/// waited out on the front-end's `Condvar`.
+fn worker_loop(service: &SimService, front: &FrontEnd) {
+    let counters = &front.counters;
+    let mut back = None;
+    while let Some((mut conn, alone)) = front.next(back.take()) {
+        if front.stopping() && !conn.closing {
+            // Server stopping: one courtesy flush, then close.
+            let _ = conn.flush();
+            if conn.pending.is_some() {
+                counters.parked.fetch_sub(1, Ordering::Relaxed);
             }
-            Some(mut conn) => {
-                if stop.load(Ordering::SeqCst) && !conn.closing {
-                    // Server stopping: one courtesy flush, then close.
-                    let _ = conn.flush();
-                    if conn.pending.is_some() {
-                        counters.parked.fetch_sub(1, Ordering::Relaxed);
-                    }
-                    counters.active.fetch_sub(1, Ordering::Relaxed);
-                    continue;
+            counters.active.fetch_sub(1, Ordering::Relaxed);
+            continue;
+        }
+        match step(service, &mut conn, front, alone) {
+            Visit::Close => {
+                // A connection dropped while parked leaves no gauge
+                // residue.
+                if conn.pending.is_some() {
+                    counters.parked.fetch_sub(1, Ordering::Relaxed);
                 }
-                let (progressed, close) = step(service, &mut conn, config, counters, stop);
-                if close {
-                    // A connection dropped while parked leaves no gauge
-                    // residue.
-                    if conn.pending.is_some() {
-                        counters.parked.fetch_sub(1, Ordering::Relaxed);
-                    }
-                    counters.active.fetch_sub(1, Ordering::Relaxed);
-                } else {
-                    ready.lock().expect("ready queue poisoned").push_back(conn);
-                    if !progressed {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                }
+                counters.active.fetch_sub(1, Ordering::Relaxed);
             }
+            Visit::Idle => {
+                front.enqueue(conn);
+                std::thread::sleep(IDLE_QUANTUM);
+            }
+            Visit::Progressed | Visit::Waited => back = Some(conn),
         }
     }
 }
@@ -908,7 +999,7 @@ fn worker_loop(
 /// its threads on [`WireServer::join`] / drop.
 pub struct WireServer {
     local_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    front: Arc<FrontEnd>,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
@@ -947,30 +1038,35 @@ impl WireServer {
         // Non-blocking accept with a short nap lets the loop observe the
         // stop flag without a self-connect dance.
         listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let ready: Arc<Mutex<VecDeque<Conn>>> = Arc::new(Mutex::new(VecDeque::new()));
-        let counters: Arc<FrontendCounters> = Arc::new(FrontendCounters::default());
+        let front = Arc::new(FrontEnd {
+            config,
+            counters: FrontendCounters::default(),
+            ready: Mutex::new(VecDeque::new()),
+            wake: Condvar::new(),
+            stop: AtomicBool::new(false),
+        });
         let mut threads = Vec::with_capacity(config.workers.max(1) + 1);
-        let accept_stop = Arc::clone(&stop);
-        let accept_ready = Arc::clone(&ready);
-        let accept_counters = Arc::clone(&counters);
+        let accept_front = Arc::clone(&front);
         threads.push(
             std::thread::Builder::new()
                 .name("rfsim-serve-accept".into())
                 .spawn(move || {
-                    while !accept_stop.load(Ordering::SeqCst) {
+                    let front = accept_front;
+                    while !front.stopping() {
                         match listener.accept() {
                             Ok((stream, _peer)) => {
-                                if stream.set_nonblocking(true).is_err() {
+                                // The read timeout only bounds a worker's
+                                // blocking read on a lone connection;
+                                // every other read is non-blocking.
+                                if stream.set_nonblocking(true).is_err()
+                                    || stream.set_read_timeout(Some(IDLE_QUANTUM)).is_err()
+                                {
                                     continue;
                                 }
                                 let _ = stream.set_nodelay(true);
-                                accept_counters.accepted.fetch_add(1, Ordering::Relaxed);
-                                accept_counters.active.fetch_add(1, Ordering::Relaxed);
-                                accept_ready
-                                    .lock()
-                                    .expect("ready queue poisoned")
-                                    .push_back(Conn::new(stream));
+                                front.counters.accepted.fetch_add(1, Ordering::Relaxed);
+                                front.counters.active.fetch_add(1, Ordering::Relaxed);
+                                front.enqueue(Conn::new(stream));
                             }
                             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                                 std::thread::sleep(Duration::from_millis(5));
@@ -983,19 +1079,17 @@ impl WireServer {
         );
         for index in 0..config.workers.max(1) {
             let service = Arc::clone(&service);
-            let ready = Arc::clone(&ready);
-            let counters = Arc::clone(&counters);
-            let stop = Arc::clone(&stop);
+            let front = Arc::clone(&front);
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("rfsim-serve-worker-{index}"))
-                    .spawn(move || worker_loop(&service, &ready, &config, &counters, &stop))
+                    .spawn(move || worker_loop(&service, &front))
                     .expect("spawn front-end worker"),
             );
         }
         Ok(WireServer {
             local_addr,
-            stop,
+            front,
             threads: Mutex::new(threads),
         })
     }
@@ -1007,13 +1101,15 @@ impl WireServer {
 
     /// Whether the server has been asked to stop.
     pub fn stopping(&self) -> bool {
-        self.stop.load(Ordering::SeqCst)
+        self.front.stopping()
     }
 
     /// Asks the accept loop and workers to stop (open connections get
-    /// one final flush, then close).
+    /// one final flush, then close). Workers waiting for a connection
+    /// wake at once; one blocked on a lone connection's socket or job
+    /// within its idle quantum.
     pub fn stop(&self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.front.request_stop();
     }
 
     /// Blocks until the accept thread and every worker exit.
