@@ -8,8 +8,13 @@
 //! used entry, replacing an existing key never evicts, and tag-targeted
 //! eviction drops entries without counting against the capacity-eviction
 //! stats.
+//!
+//! Recency lives in a tick-ordered index beside the map, so a hit and an
+//! insert at capacity each cost O(log n) however full the map is: under
+//! a stream of fresh serve submits the fingerprint cache sits at its
+//! 4096-entry bound, and every insert evicts.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use crate::key::JobKey;
 
@@ -41,6 +46,9 @@ struct Entry<V> {
 #[derive(Debug)]
 pub struct TaggedLru<V> {
     entries: HashMap<JobKey, Entry<V>>,
+    /// Every entry's key by its `last_used` tick, oldest first: the
+    /// eviction order.
+    recency: BTreeMap<u64, JobKey>,
     capacity: usize,
     tick: u64,
     stats: LruStats,
@@ -51,6 +59,7 @@ impl<V: Clone> TaggedLru<V> {
     pub fn new(capacity: usize) -> Self {
         TaggedLru {
             entries: HashMap::new(),
+            recency: BTreeMap::new(),
             capacity,
             tick: 0,
             stats: LruStats::default(),
@@ -82,6 +91,8 @@ impl<V: Clone> TaggedLru<V> {
         self.tick += 1;
         match self.entries.get_mut(&key) {
             Some(entry) => {
+                self.recency.remove(&entry.last_used);
+                self.recency.insert(self.tick, key);
                 entry.last_used = self.tick;
                 self.stats.hits += 1;
                 Some(entry.value.clone())
@@ -112,18 +123,13 @@ impl<V: Clone> TaggedLru<V> {
         }
         self.tick += 1;
         if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
-            if let Some(oldest) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k)
-            {
+            if let Some((_, oldest)) = self.recency.pop_first() {
                 self.entries.remove(&oldest);
                 self.stats.evictions += 1;
             }
         }
         self.stats.insertions += 1;
-        self.entries.insert(
+        let replaced = self.entries.insert(
             key,
             Entry {
                 tag: tag.into(),
@@ -131,6 +137,10 @@ impl<V: Clone> TaggedLru<V> {
                 last_used: self.tick,
             },
         );
+        if let Some(old) = replaced {
+            self.recency.remove(&old.last_used);
+        }
+        self.recency.insert(self.tick, key);
     }
 
     /// Removes entries — all of them, or only those stored under `tag` —
@@ -140,8 +150,15 @@ impl<V: Clone> TaggedLru<V> {
     pub fn evict(&mut self, tag: Option<&str>) -> usize {
         let before = self.entries.len();
         match tag {
-            None => self.entries.clear(),
-            Some(t) => self.entries.retain(|_, e| e.tag != t),
+            None => {
+                self.entries.clear();
+                self.recency.clear();
+            }
+            Some(t) => {
+                self.entries.retain(|_, e| e.tag != t);
+                let entries = &self.entries;
+                self.recency.retain(|_, key| entries.contains_key(key));
+            }
         }
         before - self.entries.len()
     }
@@ -199,5 +216,55 @@ mod tests {
         off.insert(key(1.0), "a", 1);
         assert!(off.is_empty());
         assert_eq!(off.stats().insertions, 0);
+    }
+
+    /// The recency index must evict exactly what a scan for the oldest
+    /// `last_used` would, across hits, replacements and tag eviction.
+    #[test]
+    fn recency_index_matches_a_scanning_model() {
+        // Model entries: (key id, tag, value, last used).
+        let mut model: Vec<(u64, &str, u64, u64)> = Vec::new();
+        let mut lru: TaggedLru<u64> = TaggedLru::new(5);
+        let (mut tick, mut evictions) = (0u64, 0usize);
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for step in 0..4000u64 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let id = (state >> 33) % 12;
+            let tag = if id.is_multiple_of(3) { "a" } else { "b" };
+            match (state >> 20) % 16 {
+                0..=6 => {
+                    tick += 1;
+                    let want = model.iter_mut().find(|e| e.0 == id).map(|e| {
+                        e.3 = tick;
+                        e.2
+                    });
+                    assert_eq!(lru.get(key(id as f64)), want, "get at step {step}");
+                }
+                7..=14 => {
+                    tick += 1;
+                    if let Some(e) = model.iter_mut().find(|e| e.0 == id) {
+                        *e = (id, tag, step, tick);
+                    } else {
+                        if model.len() >= 5 {
+                            let oldest = (0..model.len()).min_by_key(|&i| model[i].3).unwrap();
+                            model.swap_remove(oldest);
+                            evictions += 1;
+                        }
+                        model.push((id, tag, step, tick));
+                    }
+                    lru.insert(key(id as f64), tag, step);
+                }
+                _ => {
+                    let before = model.len();
+                    model.retain(|e| e.1 != "a");
+                    assert_eq!(lru.evict(Some("a")), before - model.len());
+                }
+            }
+            assert_eq!(lru.len(), model.len(), "len at step {step}");
+            assert_eq!(lru.stats().evictions, evictions, "evictions at step {step}");
+        }
+        assert!(evictions > 100, "the sequence must exercise eviction");
     }
 }
